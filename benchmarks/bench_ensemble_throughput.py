@@ -41,7 +41,11 @@ import time
 import numpy as np
 
 from repro.core.dynamics import BestOfKDynamics
-from repro.core.ensemble import run_ensemble, step_best_of_k_batch
+from repro.core.ensemble import (
+    build_initial_matrix,
+    run_ensemble,
+    step_best_of_k_batch,
+)
 from repro.core.opinions import random_opinions
 from repro.core.theorem import verify_theorem1
 from repro.graphs.generators import two_clique_bridge
@@ -50,7 +54,7 @@ from repro.graphs.implicit import (
     CompleteMultipartiteGraph,
     RookGraph,
 )
-from repro.util.rng import spawn_generators
+from repro.util.rng import as_generator, spawn_generators
 
 __all__ = [
     "sequential_loop",
@@ -413,32 +417,43 @@ def bench_dense_gather(*, n=2**14, replicas=50, k=3, rounds=20, seed=0):
 
 
 def bench_dense_scaling(
-    *, n=2**14, replicas=64, delta=0.0, rounds=25, seed=0,
+    *, n=2**14, replicas=96, delta=0.0, rounds=25, seed=0,
     thread_counts=(1, 2, 4),
 ):
-    """Dense-path scaling: serial vs threaded blocks vs the legacy loop.
+    """Dense-path scaling: serial vs the replica-block pool vs the loop.
 
     The ISSUE 10 acceptance scenario, on the host family where the dense
     path was the bottleneck (rook — the ``batched_vs_loop_rook`` 0.92×
     regression).  ``delta=0`` starts every replica balanced so almost
     nothing absorbs inside the round budget: each engine advances
     ``replicas × rounds`` near-identical rounds, which makes the
-    throughputs directly comparable.  Records, per thread count, whole
-    runs through ``run_ensemble(threads=t)``; the serial layout
-    (``threads=0``), the pre-engine sequential loop, and the ``auto``
-    policy's routing are the baselines.  ``threaded_bit_identical``
-    asserts the layout contract (worker count never changes results) in
-    the snapshot itself, and ``kernel`` records whether the fused
-    compiled kernel (numba) or the numpy reference path ran.
+    throughputs directly comparable.  The workload must be past
+    :data:`repro.core.dense.DENSE_AUTO_THREAD_MIN_SAMPLES`, where the
+    engine runs the replica-block layout.
 
-    CI's ``dense-scaling`` job guards this entry: best-threaded ≥ 2× the
-    serial dense path on the 4-core runner (≥ 4× when ``kernel`` is
-    ``compiled``), and ``auto`` at least as fast as the legacy loop.
+    * ``serial`` — :func:`step_best_of_k_batch` over the whole ``(R, n)``
+      matrix on one stream, ``rounds`` times: the single-stream work with
+      no pool;
+    * ``threads[w]`` — whole ``run_ensemble`` runs with the machine's
+      core count patched to ``w`` (``repro.core.dense._auto_workers``),
+      so the block pool is ``w`` wide;
+    * ``loop`` — the pre-engine sequential loop; ``auto`` — an unpatched
+      ``run_ensemble``.
+
+    ``threaded_bit_identical`` asserts the layout contract (the pool
+    width never changes results) in the snapshot itself.  CI's
+    ``dense-scaling`` job guards this entry: best width ≥ 2× serial on
+    the 4-core runner, and ``auto`` at least as fast as the loop.
     """
-    from repro.core.dense import dense_kernel_name
+    from repro.core import dense
 
     graph = RookGraph(int(np.sqrt(n)))
     n = graph.num_vertices
+    if dense.resolve_dense_threads(n, 3, replicas) == 0:
+        raise ValueError(
+            f"R·n·k = {replicas * n * 3} is below the block threshold "
+            f"{dense.DENSE_AUTO_THREAD_MIN_SAMPLES}; raise replicas or n"
+        )
     kw = dict(
         replicas=replicas, delta=delta, seed=seed, max_steps=rounds,
         record_trajectories=False,
@@ -448,22 +463,35 @@ def bench_dense_scaling(
             graph, trials=replicas, delta=delta, seed=seed, max_steps=rounds
         )
     )
-    t_serial, _ = _timed(
-        lambda: run_ensemble(graph, method="batched", threads=0, **kw)
-    )
+
+    def serial():
+        ops = build_initial_matrix(n, replicas, seed, delta=delta)
+        buf = np.empty_like(ops)
+        rng = as_generator(seed)
+        for _ in range(rounds):
+            step_best_of_k_batch(graph, ops, 3, rng, out=buf)
+            ops, buf = buf, ops
+        return ops
+
+    t_serial, _ = _timed(serial)
     per_thread: dict[str, dict] = {}
     runs: dict[int, object] = {}
-    for t in thread_counts:
-        t_run, res = _timed(
-            lambda t=t: run_ensemble(graph, method="batched", threads=t, **kw)
-        )
-        runs[t] = res
-        per_thread[str(t)] = {
-            "seconds": t_run,
-            "replicas_per_sec": replicas / t_run,
-            "speedup_vs_serial": t_serial / t_run,
-            "speedup_vs_loop": t_loop / t_run,
-        }
+    real_workers = dense._auto_workers
+    try:
+        for t in thread_counts:
+            dense._auto_workers = lambda t=t: t
+            t_run, res = _timed(
+                lambda: run_ensemble(graph, method="batched", **kw)
+            )
+            runs[t] = res
+            per_thread[str(t)] = {
+                "seconds": t_run,
+                "replicas_per_sec": replicas / t_run,
+                "speedup_vs_serial": t_serial / t_run,
+                "speedup_vs_loop": t_loop / t_run,
+            }
+    finally:
+        dense._auto_workers = real_workers
     base = runs[thread_counts[0]]
     bit_identical = all(
         np.array_equal(base.steps, runs[t].steps)
@@ -477,7 +505,6 @@ def bench_dense_scaling(
         "n": n,
         "replicas": replicas,
         "rounds": rounds,
-        "kernel": dense_kernel_name(),
         "loop_seconds": t_loop,
         "loop_replicas_per_sec": replicas / t_loop,
         "serial_seconds": t_serial,
@@ -582,8 +609,7 @@ def full_report():
             n=2**14, replicas=50, rounds=20, seed=0
         ),
         # replicas=96 puts R*n*k past DENSE_AUTO_THREAD_MIN_SAMPLES, so
-        # the snapshot records the auto policy actually routing to the
-        # threaded layout (auto_threads >= 1).
+        # every run here takes the replica-block layout.
         "dense_scaling_rook": bench_dense_scaling(
             n=2**14, replicas=96, delta=0.0, rounds=25, seed=0,
             thread_counts=(1, 2, 4),
@@ -635,11 +661,10 @@ def smoke_report():
         "dense_gather_flat_take": bench_dense_gather(
             n=2**12, replicas=50, rounds=20, seed=0
         ),
-        # The dense-scaling entry keeps a real per-round workload even in
-        # smoke mode (n=2^12 x 15 rounds): the ISSUE 10 CI guard reads
-        # best_speedup_vs_serial off this entry on the 4-core runner.
+        # The dense-scaling entry must stay past the block threshold
+        # (R*n*k >= 2^22), so smoke mode only trims the round count.
         "dense_scaling_rook": bench_dense_scaling(
-            n=2**12, replicas=48, delta=0.0, rounds=15, seed=0,
+            n=2**14, replicas=96, delta=0.0, rounds=8, seed=0,
             thread_counts=(1, 2, 4),
         ),
         "sweep_host_store": bench_host_store(
@@ -727,12 +752,12 @@ def main(argv: list[str] | None = None) -> int:
         f"{report['gaussian_theorem1_1e10']['seconds']:.3f}s"
     )
     print(
-        f"dense scaling (rook, kernel={ds['kernel']}): best "
+        f"dense scaling (rook): best "
         f"{ds['best_speedup_vs_serial']:.2f}x vs serial at "
-        f"{ds['best_threads']} threads (CI guard on the 4-core runner: "
-        f">= 2x, >= 4x with the compiled kernel); auto vs loop: "
+        f"{ds['best_threads']} workers (CI guard on the 4-core runner: "
+        f">= 2x); auto vs loop: "
         f"{ds['auto_speedup_vs_loop']:.2f}x (guard: >= 1x); "
-        f"bit-identical across thread counts: {ds['threaded_bit_identical']}"
+        f"bit-identical across pool widths: {ds['threaded_bit_identical']}"
     )
     if args.out is not None:
         out_path = Path(args.out)

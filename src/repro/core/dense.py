@@ -1,43 +1,28 @@
 """The dense-path hot loop: batched Best-of-k rounds (DESIGN.md §2.10).
 
 This module is the library's dense inner kernel, split out of
-:mod:`repro.core.ensemble` so the hot path has exactly one home and one
-discipline: **every array operation goes through the active
-:class:`~repro.core.backend.ArrayBackend`** — lint rule BKND001 forbids
-direct ``np.`` calls here, which is what keeps the path retargetable to
-CuPy/torch backends without a rewrite.
-
-Three layers live here:
+:mod:`repro.core.ensemble` so the hot path has exactly one home.  Two
+pieces live here:
 
 * :func:`step_best_of_k_batch` — one synchronous Best-of-k round for a
   whole ``(R, n)`` batch, chunked along the replica axis so per-chunk
-  scratch stays cache-resident (moved verbatim from the pre-1.8 engine;
-  elementwise results unchanged).
-* the **fused kernel** — :func:`fused_best_of_k_chunk` performs the
-  draw-map→gather→majority-vote→adopt sequence for one chunk in a single
-  cache-resident pass over CSR hosts, consuming exactly the uniform
-  draws the numpy reference path consumes (bit-identical by
-  construction).  The same source runs two ways: numba-jitted with
-  ``nogil=True`` when the ``"compiled"`` kernel is selected
-  (``REPRO_DENSE_KERNEL``; auto-detected at import), or as plain Python
-  in the test suite's equivalence checks.
-* the **threading policy** — :func:`resolve_dense_threads` and
-  :func:`replica_blocks` decide when the engine dispatches replica
-  blocks over a thread pool and how replicas partition into blocks.
-  The partition is a pure function of the workload (never of the thread
-  count), which is what makes threaded results bit-identical for every
-  worker count ≥ 1.
+  scratch stays cache-resident.
+* the **replica layout** — :func:`resolve_dense_threads` and
+  :func:`replica_blocks` decide how the engine splits an ensemble into
+  random streams.  Below :data:`DENSE_AUTO_THREAD_MIN_SAMPLES` the whole
+  ensemble is one block on the caller's stream; at or above it the
+  replicas partition into fixed blocks with one spawned stream each.
+  The layout is a pure function of the workload ``(R, n, k,
+  max_batch_bytes)``; the core count only sets how many blocks advance
+  at once, so seeded results are the same bytes on every machine.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.core.backend import (
-    compile_dense_kernel,
-    get_backend,
-    select_dense_kernel,
-)
+import numpy as np
+
 from repro.core.dynamics import TieRule
 from repro.core.opinions import OPINION_DTYPE
 from repro.util.validation import check_positive_int
@@ -48,8 +33,6 @@ __all__ = [
     "DENSE_BLOCKS_TARGET",
     "MAX_AUTO_THREADS",
     "dense_kernel_name",
-    "fused_best_of_k_chunk",
-    "fused_kernel_supported",
     "replica_blocks",
     "resolve_dense_threads",
     "step_best_of_k_batch",
@@ -73,32 +56,29 @@ per-call overhead regime).
 _BYTES_PER_SAMPLE = 13  # float64 draw (8) + int32 id (4) + uint8 gather (1)
 
 DENSE_AUTO_THREAD_MIN_SAMPLES = 1 << 22
-"""Per-round sample count ``R·n·k`` above which ``threads=None`` engages
-the threaded layout.
+"""Per-round sample count ``R·n·k`` at which the engine switches from
+one stream to the replica-block layout.
 
-Below it the engine keeps the legacy serial stream (small seeded runs —
-the harness grids, the goldens — stay byte-stable); above it the round
-is DRAM-bound enough that per-block streams and a thread pool win.  The
-re-tuned auto policy exists because the serial dense path measured
-*slower* than the per-trial loop on rook-like hosts
-(``batched_vs_loop_rook``, 0.92×): any workload big enough to hit that
-regime now auto-threads, and the threaded path is never slower than the
-loop.  The threshold is a pure function of the workload, so the decision
-— and therefore the result bytes — is machine-independent.
+Below it the whole ensemble advances on the caller's stream (small
+seeded runs — the harness grids, the goldens — keep their pre-1.8
+bytes); at or above it the round is DRAM-bound enough that per-block
+streams and a thread pool pay.  The threshold is a pure function of the
+workload, so the layout — and therefore the result bytes — is
+machine-independent.
 """
 
 DENSE_BLOCKS_TARGET = 16
 """Minimum block count the partition aims for when ``R`` permits, so an
-``R``-replica ensemble exposes enough parallelism for every worker count
-the auto policy can pick without tying the partition to the pool size."""
+``R``-replica ensemble exposes enough parallelism for every pool width
+without tying the partition to the pool size."""
 
 MAX_AUTO_THREADS = 16
-"""Cap on ``threads="auto"`` workers (diminishing returns past the
-memory bandwidth of one socket)."""
+"""Cap on the block pool's width (diminishing returns past the memory
+bandwidth of one socket)."""
 
 
 # ----------------------------------------------------------------------
-# Threading policy
+# Replica layout
 # ----------------------------------------------------------------------
 
 
@@ -106,54 +86,32 @@ def _auto_workers() -> int:
     return max(1, min(os.cpu_count() or 1, MAX_AUTO_THREADS))
 
 
-def resolve_dense_threads(
-    n: int, k: int, replicas: int, threads=None
-) -> int:
-    """Resolve a ``threads`` request to a worker count.
+def resolve_dense_threads(n: int, k: int, replicas: int) -> int:
+    """Pool width for a dense run: ``0`` for the single-stream layout.
 
-    Returns ``0`` for the legacy serial layout (one stream consumed
-    in-order, byte-identical to the pre-1.8 engine) or ``>= 1`` for the
-    threaded layout (fixed replica blocks, one spawned stream per block
-    — bit-identical for every worker count ≥ 1, so ``threads=1`` is the
-    single-worker execution of exactly what ``threads=4`` computes).
-
-    ``None`` is the auto policy: thread exactly when the per-round
-    sample count ``R·n·k`` reaches :data:`DENSE_AUTO_THREAD_MIN_SAMPLES`
-    *and* more than one core exists — a single-worker threaded layout
-    can only pay block overhead, so auto never picks it (the
-    never-slower-than-serial routing contract).  ``"auto"`` always
-    threads, with ``min(cores, MAX_AUTO_THREADS)`` workers; ``"serial"``
-    or ``0`` forces the legacy layout; an integer ≥ 1 threads with that
-    many workers.
+    Returns ``0`` when the per-round sample count ``R·n·k`` is below
+    :data:`DENSE_AUTO_THREAD_MIN_SAMPLES` (one block on the caller's
+    stream), else the machine's worker count ``min(cores,
+    MAX_AUTO_THREADS)`` (≥ 1) for the replica-block layout.  Only the
+    ``0``-vs-positive decision touches the result bytes, and it depends
+    on the workload alone.
     """
-    if threads is None:
-        if n * k * replicas >= DENSE_AUTO_THREAD_MIN_SAMPLES:
-            workers = _auto_workers()
-            return workers if workers >= 2 else 0
+    if n * k * replicas < DENSE_AUTO_THREAD_MIN_SAMPLES:
         return 0
-    if threads == "auto":
-        return _auto_workers()
-    if threads == "serial":
-        return 0
-    count = int(threads)
-    if count < 0 or (not isinstance(threads, int) and threads != count):
-        raise ValueError(
-            f"threads must be None, 'auto', 'serial', or an int >= 0; "
-            f"got {threads!r}"
-        )
-    return count
+    return _auto_workers()
 
 
 def replica_blocks(
     replicas: int, n: int, k: int, max_batch_bytes: int = DEFAULT_BATCH_BYTES
 ) -> list[tuple[int, int]]:
-    """Deterministic ``[lo, hi)`` replica blocks for the threaded layout.
+    """Deterministic ``[lo, hi)`` replica blocks for the block layout.
 
-    Block size is the serial path's cache-resident chunk size, further
-    split so at least :data:`DENSE_BLOCKS_TARGET` blocks exist when
-    ``R`` permits.  A pure function of the workload — thread count never
-    enters — so block → replica assignment (and with it every spawned
-    stream) is invariant under the worker count.
+    Block size is the cache-resident chunk size of
+    :func:`step_best_of_k_batch`, further split so at least
+    :data:`DENSE_BLOCKS_TARGET` blocks exist when ``R`` permits.  A pure
+    function of the workload — the pool width never enters — so block →
+    replica assignment (and with it every spawned stream) is the same on
+    every machine.
     """
     bytes_chunk = max(1, int(max_batch_bytes) // max(n * k * _BYTES_PER_SAMPLE, 1))
     target_chunk = max(1, -(-replicas // DENSE_BLOCKS_TARGET))
@@ -161,69 +119,9 @@ def replica_blocks(
     return [(lo, min(lo + block, replicas)) for lo in range(0, replicas, block)]
 
 
-# ----------------------------------------------------------------------
-# The fused gather→vote→adopt kernel
-# ----------------------------------------------------------------------
-
-
-def fused_best_of_k_chunk(u, deg, starts, adj, flat_ops, prev, out, lo, n, k):
-    """One chunk's draw-map→gather→vote→adopt in a single fused pass.
-
-    ``u`` is the chunk's ``(rows, n, k)`` uniform tensor — the *same*
-    draw the reference path hands to ``CSRGraph.sample_neighbors_batch``
-    — so sample ids, votes, and adopted opinions match the numpy path
-    element for element.  ``flat_ops`` is the row-major flat view of the
-    full live matrix and ``lo`` the chunk's first replica row; ``prev``
-    holds the chunk's pre-round opinions for the even-``k`` keep-self
-    tie rule.  Written in the scalar-loop style numba compiles cleanly
-    (and runs as plain Python in the equivalence tests).
-    """
-    rows = u.shape[0]
-    for r in range(rows):
-        base = (lo + r) * n
-        for v in range(n):
-            votes = 0
-            start = starts[v]
-            d = deg[v]
-            for j in range(k):
-                nb = adj[start + int(u[r, v, j] * d)]
-                votes += flat_ops[base + nb]
-            twice = 2 * votes
-            if twice > k:
-                out[r, v] = 1
-            elif twice < k:
-                out[r, v] = 0
-            else:
-                out[r, v] = prev[r, v]
-    return out
-
-
-_KERNEL_NAME = select_dense_kernel()
-_FUSED_COMPILED = (
-    compile_dense_kernel(fused_best_of_k_chunk)
-    if _KERNEL_NAME == "compiled"
-    else None
-)
-
-
 def dense_kernel_name() -> str:
-    """The kernel this process selected at import (``numpy``/``compiled``)."""
-    return _KERNEL_NAME
-
-
-def fused_kernel_supported(graph, k: int, tie_rule: TieRule) -> bool:
-    """Whether the fused kernel covers this (host, protocol) combination.
-
-    CSR hosts only (the fused loop walks ``indptr``/``indices``
-    directly), and the random tie rule is excluded: its coin flips would
-    consume extra stream the reference path draws tied-vertex-by-count,
-    breaking bit-identity.
-    """
-    from repro.graphs.csr import CSRGraph
-
-    if not isinstance(graph, CSRGraph):
-        return False
-    return k % 2 == 1 or tie_rule is TieRule.KEEP_SELF
+    """Name of the dense round implementation (always ``"numpy"``)."""
+    return "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +138,6 @@ def step_best_of_k_batch(
     tie_rule: TieRule = TieRule.KEEP_SELF,
     out=None,
     max_batch_bytes: int = DEFAULT_BATCH_BYTES,
-    kernel: str | None = None,
 ):
     """One synchronous Best-of-k round for a whole ``(R, n)`` batch.
 
@@ -253,13 +150,8 @@ def step_best_of_k_batch(
     buffer: sample ids are shifted by precomputed row offsets *in place*
     (reusing the sample buffer as the flat-index buffer), and the
     gathered opinions and vote counts land in scratch buffers allocated
-    once per call and reused across chunks.  When the ``"compiled"``
-    dense kernel is active and :func:`fused_kernel_supported` holds, the
-    whole chunk instead runs through the fused numba pass — consuming
-    the identical uniform draw, so results are bit-equal either way.
-    *kernel* overrides the import-time selection (tests force both).
+    once per call and reused across chunks.
     """
-    B = get_backend()
     n = graph.num_vertices
     if opinions.ndim != 2 or opinions.shape[1] != n:
         raise ValueError(
@@ -268,65 +160,48 @@ def step_best_of_k_batch(
     k = check_positive_int(k, "k")
     replicas = opinions.shape[0]
     if out is None:
-        out = B.empty_like(opinions)
+        out = np.empty_like(opinions)
     elif out is opinions:
         raise ValueError("out must not alias opinions (synchronous update)")
     elif out.shape != opinions.shape:
         raise ValueError(
             f"out shape {out.shape} does not match opinions {opinions.shape}"
         )
-    kernel_name = _KERNEL_NAME if kernel is None else kernel
-    fused = kernel_name == "compiled" and fused_kernel_supported(
-        graph, k, tie_rule
-    )
     vertices = graph.vertex_ids
-    vote_dtype = B.uint8 if k < 256 else B.int64
+    vote_dtype = np.uint8 if k < 256 else np.int64
     half = k // 2  # votes > half <=> strict blue majority, for any parity
     chunk = max(1, int(max_batch_bytes) // max(n * k * _BYTES_PER_SAMPLE, 1))
     chunk = min(chunk, replicas)
     # Flat row-major view for the flat-take gather (copies only when the
     # caller passed a non-contiguous matrix; the engine's buffers are
     # contiguous).
-    flat_ops = B.ascontiguousarray(opinions).reshape(-1)
-    if fused:
-        impl = _FUSED_COMPILED if _FUSED_COMPILED is not None else fused_best_of_k_chunk
-        deg = graph.degrees
-        starts = graph.indptr
-        adj = graph.indices
-        for lo in range(0, replicas, chunk):
-            hi = min(lo + chunk, replicas)
-            u = B.uniform(rng, (hi - lo, n, k))
-            impl(
-                u, deg, starts, adj, flat_ops, opinions[lo:hi], out[lo:hi],
-                lo, n, k,
-            )
-        return out
+    flat_ops = np.ascontiguousarray(opinions).reshape(-1)
     # Row offsets can exceed int32 when R·n does even though ids fit.
     offset_dtype = (
-        B.int64 if replicas * n > B.iinfo(B.int32).max else B.int32
+        np.int64 if replicas * n > np.iinfo(np.int32).max else np.int32
     )
-    gathered = B.empty((chunk, n, k), dtype=OPINION_DTYPE)
-    votes = B.empty((chunk, n), dtype=vote_dtype)
+    gathered = np.empty((chunk, n, k), dtype=OPINION_DTYPE)
+    votes = np.empty((chunk, n), dtype=vote_dtype)
     for lo in range(0, replicas, chunk):
         hi = min(lo + chunk, replicas)
         rows = hi - lo
         samples = graph.sample_neighbors_batch(vertices, k, rng, rows)
-        offsets = B.arange(lo, hi, dtype=offset_dtype) * n
-        if B.can_cast(offset_dtype, samples.dtype):
+        offsets = np.arange(lo, hi, dtype=offset_dtype) * n
+        if np.can_cast(offset_dtype, samples.dtype):
             samples += offsets[:, None, None].astype(samples.dtype)
             flat_idx = samples
         else:
             flat_idx = samples.astype(offset_dtype)
             flat_idx += offsets[:, None, None]
-        B.take(flat_ops, flat_idx, out=gathered[:rows])
-        B.sum(gathered[:rows], axis=2, dtype=vote_dtype, out=votes[:rows])
-        B.greater(votes[:rows], half, out=out[lo:hi])
+        np.take(flat_ops, flat_idx, out=gathered[:rows])
+        np.sum(gathered[:rows], axis=2, dtype=vote_dtype, out=votes[:rows])
+        np.greater(votes[:rows], half, out=out[lo:hi])
         if k % 2 == 0:
             tied = votes[:rows] == half
             if tie_rule is TieRule.KEEP_SELF:
                 out[lo:hi][tied] = opinions[lo:hi][tied]
             elif tie_rule is TieRule.RANDOM:
-                n_tied = int(B.count_nonzero(tied))
+                n_tied = int(np.count_nonzero(tied))
                 if n_tied:
                     out[lo:hi][tied] = (rng.random(n_tied) < 0.5).astype(
                         OPINION_DTYPE

@@ -90,18 +90,10 @@ __all__ = [
 ]
 
 # ``DEFAULT_BATCH_BYTES`` and ``step_best_of_k_batch`` moved to
-# :mod:`repro.core.dense` in 1.8 (the backend-pure hot-path module);
-# re-exported here because the public import path predates the split.
+# :mod:`repro.core.dense` in 1.8 (the hot-path module); re-exported here
+# because the public import path predates the split.
 
 EnsembleMethod = Literal["auto", "batched", "count_chain"]
-
-ThreadsLike = int | str | None
-"""``threads`` accepts ``None`` (auto policy: thread only above the
-dense-path workload threshold), ``"auto"`` (always thread,
-``min(cores, 16)`` workers), ``"serial"``/``0`` (the legacy
-single-stream layout, byte-identical to pre-1.8 results), or an int ≥ 1
-(threaded block layout with that many workers — results are identical
-for every count ≥ 1)."""
 
 
 # ----------------------------------------------------------------------
@@ -142,9 +134,10 @@ class EnsembleResult:
         both paths — the zealot payloads read ordinary-blue counts off
         it without needing trajectories.
     threads:
-        Dense-path worker count this run executed with (``0`` for the
-        legacy serial stream layout — always the case on the
-        count-chain path, where the engine is already O(parts)/round).
+        Width of the pool the dense replica blocks ran on (``0`` for
+        the single-stream layout — always the case below the workload
+        threshold and on the count-chain path).  Never part of the
+        result bytes.
     """
 
     n: int
@@ -223,7 +216,6 @@ def run_ensemble(
     keep_final: bool = False,
     method: EnsembleMethod = "auto",
     max_batch_bytes: int = DEFAULT_BATCH_BYTES,
-    threads: ThreadsLike = None,
 ) -> EnsembleResult:
     """Run *replicas* independent dynamics runs as one batched simulation.
 
@@ -258,17 +250,14 @@ def run_ensemble(
     the kernel's slot counts, the host's update law does not depend on
     the placement within slots, whatever the initial condition.
 
-    ``threads`` controls the dense path only (DESIGN.md §2.10).  The
-    default ``None`` keeps the legacy serial stream for small workloads
-    (seeded results stay byte-identical to 1.7) and switches to the
-    threaded replica-block layout once the per-round sample count
-    ``R·n·k`` clears :data:`repro.core.dense.DENSE_AUTO_THREAD_MIN_SAMPLES`.
-    The threaded layout partitions replicas into fixed blocks — a pure
-    function of the workload, never of the worker count — and gives each
-    block its own spawned generator, so ``threads=1``, ``2``, and ``4``
-    produce bit-identical results (and serial vs threaded differ only in
-    stream layout: same distribution, KS-guarded in the tests).  The
-    count-chain path ignores ``threads``.
+    The dense path's stream layout is a pure function of the workload
+    (DESIGN.md §2.10): small workloads advance on one stream (seeded
+    results stay byte-identical to 1.7); once the per-round sample count
+    ``R·n·k`` reaches :data:`repro.core.dense.DENSE_AUTO_THREAD_MIN_SAMPLES`
+    the replicas partition into fixed blocks, each with its own spawned
+    generator, advanced on a thread pool as wide as the machine allows.
+    The core count sets only the pool width, so a seeded run gives the
+    same bytes on every machine.
     """
     from repro.core.protocols import BestOfK
 
@@ -337,13 +326,6 @@ def run_ensemble(
         initial_blue_counts, dtype=protocol.opinion_dtype,
     )
     init_matrix = protocol.prepare_state(init_matrix)
-    k_eff = int(getattr(protocol, "k", 1))
-    workers = resolve_dense_threads(n, k_eff, replicas, threads)
-    if workers >= 1:
-        return _run_batched_threaded(
-            graph, protocol, init_matrix, rng, max_steps,
-            record_trajectories, keep_final, max_batch_bytes, workers, k_eff,
-        )
     return _run_batched(
         graph, protocol, init_matrix, rng, max_steps,
         record_trajectories, keep_final, max_batch_bytes,
@@ -553,6 +535,78 @@ def _run_batched(
     keep_final: bool,
     max_batch_bytes: int,
 ) -> EnsembleResult:
+    """Dense path: fan the replicas out over their stream layout.
+
+    Below the workload threshold the whole matrix is one block on *rng*.
+    At or above it, the fixed :func:`repro.core.dense.replica_blocks`
+    partition gives each contiguous ``[lo, hi)`` row range its own
+    spawned stream and its own compaction and bookkeeping, so the merge
+    is a concatenation in block order.  Blocks depend only on the
+    workload, never on the pool width: any width computes bit-identical
+    results, and the pool merely decides how many blocks advance at once
+    (the heavy per-round kernels release the GIL inside numpy).
+    """
+    n = graph.num_vertices
+    replicas = init_matrix.shape[0]
+    k = int(getattr(protocol, "k", 1))
+    workers = resolve_dense_threads(n, k, replicas)
+    if workers == 0:
+        return _run_block(
+            graph, protocol, init_matrix, rng, max_steps,
+            record_trajectories, keep_final, max_batch_bytes,
+        )
+    blocks = replica_blocks(replicas, n, k, max_batch_bytes)
+    gens = spawn_generators(rng, len(blocks))
+    width = min(workers, len(blocks))
+    # Touch the shared vertex-id cache once before fan-out so worker
+    # threads only read it (other per-graph protocol memos are filled by
+    # a single atomic tuple assignment — benign if two blocks race).
+    _ = graph.vertex_ids
+
+    def run_block(i: int) -> EnsembleResult:
+        lo, hi = blocks[i]
+        return _run_block(
+            graph, protocol, init_matrix[lo:hi], gens[i], max_steps,
+            record_trajectories, keep_final, max_batch_bytes,
+        )
+
+    if width == 1:
+        parts = [run_block(i) for i in range(len(blocks))]
+    else:
+        with ThreadPoolExecutor(max_workers=width) as pool:
+            parts = list(pool.map(run_block, range(len(blocks))))
+    traj: list[np.ndarray] | None = None
+    if record_trajectories:
+        traj = [t for part in parts for t in part.blue_trajectories]
+    return EnsembleResult(
+        n=n,
+        replicas=replicas,
+        steps=np.concatenate([p.steps for p in parts]),
+        winners=np.concatenate([p.winners for p in parts]),
+        converged=np.concatenate([p.converged for p in parts]),
+        method="batched",
+        blue_trajectories=traj,
+        final_opinions=(
+            np.concatenate([p.final_opinions for p in parts])
+            if keep_final
+            else None
+        ),
+        final_totals=np.concatenate([p.final_totals for p in parts]),
+        threads=width,
+    )
+
+
+def _run_block(
+    graph: Graph,
+    protocol,
+    init_matrix: np.ndarray,
+    rng: np.random.Generator,
+    max_steps: int,
+    record_trajectories: bool,
+    keep_final: bool,
+    max_batch_bytes: int,
+) -> EnsembleResult:
+    """One sub-ensemble on one stream: the loop, compaction, bookkeeping."""
     n = graph.num_vertices
     replicas = init_matrix.shape[0]
     dtype = init_matrix.dtype
@@ -623,74 +677,4 @@ def _run_batched(
         ),
         final_opinions=final,
         final_totals=final_totals,
-    )
-
-
-def _run_batched_threaded(
-    graph: Graph,
-    protocol,
-    init_matrix: np.ndarray,
-    rng: np.random.Generator,
-    max_steps: int,
-    record_trajectories: bool,
-    keep_final: bool,
-    max_batch_bytes: int,
-    workers: int,
-    k: int,
-) -> EnsembleResult:
-    """Dense path over fixed replica blocks dispatched to a thread pool.
-
-    Each block is an independent sub-ensemble — its own spawned stream,
-    its own compaction and bookkeeping — over a contiguous ``[lo, hi)``
-    row range of the initial matrix, so the merge is a concatenation in
-    block order.  The block partition and the per-block streams depend
-    only on the workload (:func:`repro.core.dense.replica_blocks`), never
-    on *workers*: any worker count ≥ 1 computes bit-identical results,
-    and the pool merely decides how many blocks advance at once.  The
-    heavy per-round kernels (uniform draw, flat take, axis reduction)
-    release the GIL inside numpy — and the whole fused pass does under
-    the compiled kernel's ``nogil=True`` — which is where the
-    multi-core scaling comes from.
-    """
-    n = graph.num_vertices
-    replicas = init_matrix.shape[0]
-    blocks = replica_blocks(replicas, n, k, max_batch_bytes)
-    gens = spawn_generators(rng, len(blocks))
-    # Touch the shared vertex-id cache once before fan-out so worker
-    # threads only read it (other per-graph protocol memos are filled by
-    # a single atomic tuple assignment — benign if two blocks race).
-    _ = graph.vertex_ids
-
-    def run_block(i: int) -> EnsembleResult:
-        lo, hi = blocks[i]
-        return _run_batched(
-            graph, protocol, init_matrix[lo:hi], gens[i], max_steps,
-            record_trajectories, keep_final, max_batch_bytes,
-        )
-
-    if workers == 1 or len(blocks) == 1:
-        parts = [run_block(i) for i in range(len(blocks))]
-    else:
-        with ThreadPoolExecutor(
-            max_workers=min(workers, len(blocks))
-        ) as pool:
-            parts = list(pool.map(run_block, range(len(blocks))))
-    traj: list[np.ndarray] | None = None
-    if record_trajectories:
-        traj = [t for part in parts for t in part.blue_trajectories]
-    return EnsembleResult(
-        n=n,
-        replicas=replicas,
-        steps=np.concatenate([p.steps for p in parts]),
-        winners=np.concatenate([p.winners for p in parts]),
-        converged=np.concatenate([p.converged for p in parts]),
-        method="batched",
-        blue_trajectories=traj,
-        final_opinions=(
-            np.concatenate([p.final_opinions for p in parts])
-            if keep_final
-            else None
-        ),
-        final_totals=np.concatenate([p.final_totals for p in parts]),
-        threads=workers,
     )

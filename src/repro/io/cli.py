@@ -129,16 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp_p.add_argument("--trials", type=int, default=10)
     swp_p.add_argument("--max-steps", type=int, default=2000)
     swp_p.add_argument("--seed", type=int, default=0)
-    swp_p.add_argument(
-        "--threads",
-        type=_threads_arg,
-        default=None,
-        metavar="N|auto|serial",
-        help="dense-engine thread layout for every point: a worker "
-        "count, 'auto' (min(cores, 16)), or 'serial' (the legacy "
-        "single-stream layout); default: auto-thread only above the "
-        "workload threshold (DESIGN.md §2.10)",
-    )
     swp_p.add_argument("--save", metavar="PATH", help="archive the sweep as JSON")
     swp_p.add_argument(
         "--gc",
@@ -252,15 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-batch coalescing window for concurrent identical "
         "ensemble requests (default: 2)",
     )
-    srv_p.add_argument(
-        "--engine-threads",
-        type=_threads_arg,
-        default=None,
-        metavar="N|auto|serial",
-        help="dense-engine thread layout for requests that do not pin "
-        "their own (default: $REPRO_SERVICE_THREADS, else the engine's "
-        "auto policy)",
-    )
 
     lint_p = sub.add_parser(
         "lint", help="run the AST invariant checker over source trees"
@@ -358,36 +339,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return report_main(argv)
 
 
-def _parse_protocol(name: str, threads=None):
+def _parse_protocol(name: str):
     """Map a CLI protocol name to a :class:`ProtocolSpec`.
 
     The grammar lives on :meth:`ProtocolSpec.parse` so the HTTP service
-    accepts exactly the names this CLI does.  *threads* (``--threads``)
-    pins the dense engine's layout on the resulting spec.
+    accepts exactly the names this CLI does.
     """
-    import dataclasses
-
     from repro.sweeps import ProtocolSpec
 
-    spec = ProtocolSpec.parse(name)
-    if threads is not None:
-        spec = dataclasses.replace(spec, threads=threads)
-    return spec
-
-
-def _threads_arg(value: str):
-    """argparse type for ``--threads`` / ``--engine-threads``."""
-    if value in ("auto", "serial"):
-        return value
-    try:
-        count = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an int, 'auto', or 'serial', got {value!r}"
-        ) from None
-    if count < 0:
-        raise argparse.ArgumentTypeError(f"thread count must be >= 0, got {count}")
-    return count
+    return ProtocolSpec.parse(name)
 
 
 def _host_spec(family: str, n: int, args: argparse.Namespace):
@@ -453,10 +413,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spec = SweepSpec.grid(
             "cli_sweep",
             hosts=[_host_spec(args.host, n, args) for n in args.n],
-            protocols=[
-                _parse_protocol(p, threads=args.threads)
-                for p in args.protocol
-            ],
+            protocols=[_parse_protocol(p) for p in args.protocol],
             inits=[InitSpec.iid(d) for d in args.delta],
             trials=args.trials,
             max_steps=args.max_steps,
@@ -567,7 +524,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 if args.batch_window_ms is not None
                 else None
             ),
-            engine_threads=args.engine_threads,
         )
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,9 +27,11 @@ Endpoints (all JSON unless noted)::
     GET  /v1/jobs/{id}/results  full payloads of the done points
 
 Error contract: a body that cannot be parsed into a valid spec is a 400
-with ``{"error": ...}`` carrying the validation message verbatim; an
-unknown route or job id is a 404; anything unexpected is a 500 whose
-body names the exception type but not a traceback.
+with ``{"error": ...}`` carrying the validation message verbatim, and so
+is a ``Content-Length`` that is not a non-negative integer; a body over
+:data:`MAX_BODY_BYTES` is a 413, refused before it is read; an unknown
+route or job id is a 404; anything unexpected is a 500 whose body names
+the exception type but not a traceback.
 """
 
 from __future__ import annotations
@@ -59,7 +61,11 @@ from repro.service.requests import (
 from repro.sweeps.cache import SweepCache
 from repro.sweeps.queue import queue_key
 
-__all__ = ["Response", "ServiceApp", "make_server", "serve"]
+__all__ = ["MAX_BODY_BYTES", "Response", "ServiceApp", "make_server", "serve"]
+
+MAX_BODY_BYTES = 1 << 20
+"""Largest request body the handler reads (1 MiB); a bigger declared
+``Content-Length`` gets a 413 without the body being read."""
 
 
 class Response:
@@ -185,25 +191,6 @@ class ServiceApp:
 
     # -- handlers ------------------------------------------------------
 
-    def _with_engine_threads(self, point):
-        """Apply the service's dense-thread default to an unpinned point.
-
-        A request whose protocol pins ``threads`` wins; otherwise the
-        config's ``engine_threads`` (``REPRO_SERVICE_THREADS``) is
-        stamped into the point *before* caching/queueing, because the
-        thread layout is part of the result bytes — two layouts must not
-        share a cache entry.
-        """
-        default = self.config.engine_threads
-        if default is None or point.protocol.threads is not None:
-            return point
-        import dataclasses
-
-        return dataclasses.replace(
-            point,
-            protocol=dataclasses.replace(point.protocol, threads=default),
-        )
-
     def _health(self, match, query, body) -> Response:
         return Response(
             200,
@@ -218,7 +205,7 @@ class ServiceApp:
         return Response(200, stats)
 
     def _ensemble(self, match, query, body) -> Response:
-        point = self._with_engine_threads(parse_point_request(body))
+        point = parse_point_request(body)
         payload, cached = self.engine.execute(point)
         (row,) = sweep_summary_rows([(point, payload)])
         return Response(
@@ -232,9 +219,7 @@ class ServiceApp:
         )
 
     def _compare(self, match, query, body) -> Response:
-        points = [
-            self._with_engine_threads(p) for p in parse_compare_request(body)
-        ]
+        points = parse_compare_request(body)
         pairs = []
         cached_flags = []
         for point in points:
@@ -259,15 +244,6 @@ class ServiceApp:
 
     def _submit_sweep(self, match, query, body) -> Response:
         spec = parse_sweep_request(body)
-        if self.config.engine_threads is not None:
-            import dataclasses
-
-            spec = dataclasses.replace(
-                spec,
-                points=tuple(
-                    self._with_engine_threads(p) for p in spec.points
-                ),
-            )
         job_id, created = self.jobs.submit(spec)
         status = self.jobs.status(job_id)
         return Response(
@@ -342,7 +318,23 @@ class _Handler(BaseHTTPRequestHandler):
             pass  # client hung up mid-stream; nothing to clean up
 
     def _handle(self, method: str) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._respond(_error(400, f"bad Content-Length {raw!r}"))
+            return
+        if length > MAX_BODY_BYTES:
+            self._respond(
+                _error(
+                    413,
+                    f"body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit",
+                )
+            )
+            return
         body = self.rfile.read(length) if length else None
         try:
             response = self.app.dispatch(method, self.path, body)

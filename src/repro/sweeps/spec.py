@@ -138,16 +138,6 @@ class ProtocolSpec:
     gone); :meth:`build` turns the spec into the
     :class:`repro.core.protocols.Protocol` object the ensemble engine
     executes.
-
-    ``threads`` is the dense-path execution layout (DESIGN.md §2.10):
-    ``None`` (the default auto policy), ``"auto"``, ``"serial"``, or a
-    worker count ≥ 0.  It rides on the protocol spec because it is the
-    one knob that changes the engine's stream layout — serial and
-    threaded runs are distribution-equal but not byte-equal — so a point
-    that pins it must carry it through caches and the work queue.  Like
-    the other optional fields it enters the canonical content only when
-    set, keeping every pre-1.8 point's cache key and derived seed
-    byte-stable.
     """
 
     kind: str = "best_of_k"
@@ -155,7 +145,6 @@ class ProtocolSpec:
     tie_rule: str = "keep_self"  # TieRule value ("keep_self" | "random")
     eta: float | None = None
     zealots: int | None = None
-    threads: int | str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in PROTOCOL_KINDS:
@@ -164,20 +153,6 @@ class ProtocolSpec:
             raise ValueError(f"protocol needs k >= 1, got {self.k}")
         if self.tie_rule not in ("keep_self", "random"):
             raise ValueError(f"unknown tie rule {self.tie_rule!r}")
-        if self.threads is not None:
-            if isinstance(self.threads, str):
-                if self.threads not in ("auto", "serial"):
-                    raise ValueError(
-                        f"threads must be 'auto', 'serial', or an int >= 0; "
-                        f"got {self.threads!r}"
-                    )
-            elif isinstance(self.threads, bool) or (
-                not isinstance(self.threads, int) or self.threads < 0
-            ):
-                raise ValueError(
-                    f"threads must be 'auto', 'serial', or an int >= 0; "
-                    f"got {self.threads!r}"
-                )
         if self.kind == "noisy_best_of_k":
             if self.eta is None or not 0.0 <= self.eta <= 1.0:
                 raise ValueError(
@@ -394,8 +369,6 @@ def canonical_point(point: Point) -> dict[str, Any]:
         protocol["eta"] = point.protocol.eta
     if point.protocol.zealots is not None:
         protocol["zealots"] = point.protocol.zealots
-    if point.protocol.threads is not None:
-        protocol["threads"] = point.protocol.threads
     content: dict[str, Any] = {
         "host": {
             "family": point.host.family,
@@ -434,7 +407,6 @@ def point_from_canonical(
             tie_rule=proto["tie_rule"],
             eta=proto.get("eta"),
             zealots=proto.get("zealots"),
-            threads=proto.get("threads"),
         ),
         init=InitSpec(
             kind=init["kind"],

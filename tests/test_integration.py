@@ -95,4 +95,4 @@ class TestPublicApiWorkflow:
     def test_version_exposed(self):
         import repro
 
-        assert repro.__version__ == "1.8.0"
+        assert repro.__version__ == "1.9.0"

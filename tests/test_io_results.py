@@ -150,7 +150,7 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
-        assert "repro 1.8.0" in capsys.readouterr().out
+        assert "repro 1.9.0" in capsys.readouterr().out
 
     def test_run_exit_code_on_failure(self, monkeypatch):
         from repro.io import cli

@@ -16,6 +16,8 @@ The headline guarantees:
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 
 import numpy as np
@@ -24,12 +26,15 @@ import pytest
 from repro.service import (
     MicroBatcher,
     RequestError,
+    ServiceApp,
     ServiceConfig,
     ServiceEngine,
+    make_server,
     parse_compare_request,
     parse_point_request,
     parse_sweep_request,
 )
+from repro.service.app import MAX_BODY_BYTES
 from repro.sweeps import (
     HostSpec,
     InitSpec,
@@ -394,3 +399,73 @@ class TestMicroBatcher:
     def test_rejects_negative_window(self):
         with pytest.raises(ValueError, match="window_s"):
             MicroBatcher(window_s=-1.0)
+
+
+@pytest.fixture()
+def live_address(tmp_path):
+    """``(host, port)`` of a live service on an ephemeral port."""
+    app = ServiceApp(
+        ServiceConfig(
+            cache_dir=str(tmp_path / "cache"),
+            spool_root=str(tmp_path / "jobs"),
+            port=0,
+        )
+    )
+    server = make_server(app, host="127.0.0.1", port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server.server_address[:2]
+    server.shutdown()
+    server.server_close()
+
+
+def _raw_post(address, content_length: str, body: bytes = b""):
+    """POST over a bare socket with a verbatim ``Content-Length`` header;
+    ``(status, decoded JSON body)`` of the reply."""
+    head = (
+        "POST /v1/ensemble HTTP/1.0\r\n"
+        "Host: localhost\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    )
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(head.encode("ascii") + body)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    assert reply, "connection closed without an HTTP reply"
+    status_line, _, rest = reply.partition(b"\r\n")
+    _, _, payload = rest.partition(b"\r\n\r\n")
+    return int(status_line.split()[1]), json.loads(payload)
+
+
+class TestRequestFraming:
+    """Malformed or oversized bodies get an HTTP answer, not a dropped
+    connection or a handler thread stuck reading."""
+
+    def test_non_integer_content_length_is_400(self, live_address):
+        status, body = _raw_post(live_address, "abc")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_negative_content_length_is_400(self, live_address):
+        status, body = _raw_post(live_address, "-5")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_oversized_body_is_413_without_reading_it(self, live_address):
+        # No body bytes follow: a handler that tried to read them would
+        # block until the socket timeout instead of answering.
+        status, body = _raw_post(live_address, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+
+    def test_threads_field_is_a_400(self, live_address):
+        request = json.dumps(
+            {
+                "host": {"family": "complete", "n": 64},
+                "protocol": {"kind": "best_of_k", "threads": 2},
+            }
+        ).encode("utf-8")
+        status, body = _raw_post(live_address, str(len(request)), request)
+        assert status == 400
+        assert "threads" in body["error"]
